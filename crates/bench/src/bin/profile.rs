@@ -7,10 +7,11 @@
 //! $ profile check [report.json]             # invariant gate (CI); exit 1 on failure
 //! ```
 //!
-//! The optional `diff` ceiling is how CI gates the relaxed epoch
-//! engine: a relaxed-engine smoke report is diffed against the serial
-//! one at the documented relaxed-mode bound (see DESIGN.md, "Sharded
-//! timing engine") instead of the 5% same-engine default.
+//! The optional `diff` ceiling is how CI's mem-fidelity gate sets its
+//! own bounds instead of the 5% same-engine default: a loose one for
+//! the printed legacy-vs-detailed review diff, and 1% for a cold rerun
+//! of the detailed memory model against itself (see DESIGN.md, "Memory
+//! model").
 //!
 //! `check` without an argument validates `results/BENCH_smoke.json`
 //! (the artifact `report smoke` writes): every run's stall classes must

@@ -1,12 +1,13 @@
-//! Shared command-line surface of the figure/table binaries: every
-//! experiment binary accepts the executor flags parsed here.
+//! Shared command-line surface of the experiment binaries: `fig`,
+//! `report`, `bench_hot` and `photon_sim` accept the executor flags
+//! parsed here.
 //!
 //! ```console
-//! $ fig13 --jobs 8              # fan the grid over 8 workers
-//! $ fig13 --jobs 1 --no-cache   # sequential, cold reference runs
-//! $ PHOTON_BENCH_CACHE=0 fig14  # disable the persistent cache
-//! $ fig13 --resume              # replay completed specs from the journal
-//! $ fig13 --faults exec.panic:0.3:42   # deterministic chaos
+//! $ fig fig13 --jobs 8              # fan the grid over 8 workers
+//! $ fig fig13 --jobs 1 --no-cache   # sequential, cold reference runs
+//! $ PHOTON_BENCH_CACHE=0 fig fig14  # disable the persistent cache
+//! $ fig fig13 --resume              # replay completed specs from the journal
+//! $ fig fig13 --faults exec.panic:0.3:42   # deterministic chaos
 //! ```
 
 use crate::executor::ExecOptions;
@@ -30,9 +31,9 @@ pub fn usage(bin: &str, extra: &str) -> String {
          \x20 --faults SPEC   deterministic fault injection: site:rate:seed[,...]\n\
          \x20                 (PHOTON_FAULTS=SPEC does the same; see --faults help)\n\
          \x20 --engine MODE   timing-engine override for every run in the grid:\n\
-         \x20                 serial | deterministic | relaxed\n\
-         \x20 --engine-threads N  worker threads per simulation for the epoch\n\
-         \x20                 engines (PHOTON_ENGINE_THREADS=N does the same;\n\
+         \x20                 serial | deterministic\n\
+         \x20 --engine-threads N  worker threads per simulation for the deterministic\n\
+         \x20                 engine (PHOTON_ENGINE_THREADS=N does the same;\n\
          \x20                 default: available parallelism, capped at the CU count)\n\
          \x20 --mem-fidelity M  memory-model override for every run in the grid:\n\
          \x20                 legacy | detailed (MSHRs, NoC bank queues, DRAM banks)"
@@ -113,10 +114,9 @@ pub fn parse_exec_options(args: &mut Vec<String>) -> Result<ExecOptions, String>
                 opts.engine_mode = Some(match v.as_str() {
                     "serial" => EngineMode::Serial,
                     "deterministic" | "det" => EngineMode::Deterministic,
-                    "relaxed" => EngineMode::Relaxed,
                     _ => {
                         return Err(format!(
-                            "--engine: unknown mode {v} (serial | deterministic | relaxed)"
+                            "--engine: unknown mode {v} (serial | deterministic)"
                         ))
                     }
                 });
@@ -151,24 +151,6 @@ pub fn parse_exec_options(args: &mut Vec<String>) -> Result<ExecOptions, String>
     Ok(opts)
 }
 
-/// Parses the executor flags from the process arguments, exiting with
-/// the usage text on malformed input or leftover unknown flags. For
-/// binaries whose *only* arguments are the executor flags.
-pub fn exec_options_from_args(bin: &str) -> ExecOptions {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_exec_options(&mut args) {
-        Ok(opts) if args.is_empty() => opts,
-        Ok(_) => {
-            eprintln!("unknown arguments: {args:?}\n{}", usage(bin, ""));
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}\n{}", usage(bin, ""));
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +178,9 @@ mod tests {
         assert!(parse_exec_options(&mut args).is_err());
         let mut args = vec!["--faults".to_string(), "no.such.site:1:1".to_string()];
         assert!(parse_exec_options(&mut args).is_err());
+        let mut args = vec!["--engine".to_string(), "relaxed".to_string()];
+        let err = parse_exec_options(&mut args).unwrap_err();
+        assert!(err.contains("serial | deterministic"), "{err}");
     }
 
     #[test]

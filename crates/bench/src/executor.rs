@@ -69,7 +69,7 @@ pub struct ExecOptions {
     /// Timing-engine override applied to every spec's machine config
     /// before running (`--engine`). `None` leaves the specs untouched.
     pub engine_mode: Option<gpu_sim::EngineMode>,
-    /// Worker-thread override for the epoch engines (`--engine-threads`).
+    /// Worker-thread override for the epoch engine (`--engine-threads`).
     pub engine_threads: Option<u32>,
     /// Memory-fidelity override applied to every spec's machine config
     /// (`--mem-fidelity legacy|detailed`). `None` leaves the specs

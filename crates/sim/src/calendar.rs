@@ -104,8 +104,7 @@ impl<T: Copy + Ord> CalendarQueue<T> {
 
     /// The window start: the cycle of the last popped event (or the
     /// `start` the queue was created with). Nothing may be pushed
-    /// before it. The epoch coordinator uses this as a shard's local
-    /// progress point when clamping relaxed-mode wakeups.
+    /// before it.
     pub fn base(&self) -> Cycle {
         self.base
     }

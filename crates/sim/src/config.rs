@@ -98,12 +98,6 @@ pub enum EngineMode {
     /// quantum never exceeds the shortest cross-domain latency, so
     /// results are bit-identical at any thread count.
     Deterministic,
-    /// Epoch-parallel with a large quantum; memory wakeups that land
-    /// before a shard's local progress point are clamped forward. Still
-    /// run-to-run deterministic, but cycles differ from `Serial` by a
-    /// bounded error measured via `engine.epoch.clamped` telemetry and
-    /// gated by `profile diff`.
-    Relaxed,
 }
 
 /// Execution-mode selection for the sharded timing engine.
@@ -111,20 +105,15 @@ pub enum EngineMode {
 /// `threads == 0` means "resolve at run time" — from
 /// `PHOTON_ENGINE_THREADS`, falling back to the machine's available
 /// parallelism. Keeping the serialized form thread-agnostic matters:
-/// run results must not depend on worker count (the deterministic mode
-/// guarantees it, the relaxed mode preserves it by clamping against
-/// shard-local state only), so cache keys and wire specs stay valid
-/// across machines.
+/// run results do not depend on worker count, so cache keys and wire
+/// specs stay valid across machines.
 ///
-/// `quantum == 0` picks the mode's safe default: for
-/// [`EngineMode::Deterministic`] the largest provably-safe quantum (see
-/// [`GpuConfig::resolved_quantum`]), for [`EngineMode::Relaxed`] a
-/// throughput-oriented 64 cycles.
+/// The epoch quantum is not configurable: it is always the largest
+/// provably-safe one (see [`GpuConfig::resolved_quantum`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     pub mode: EngineMode,
     pub threads: u32,
-    pub quantum: u64,
 }
 
 impl Default for EngineConfig {
@@ -132,13 +121,9 @@ impl Default for EngineConfig {
         EngineConfig {
             mode: EngineMode::Serial,
             threads: 0,
-            quantum: 0,
         }
     }
 }
-
-/// Quantum for relaxed mode when the config leaves it at 0.
-pub const RELAXED_QUANTUM_DEFAULT: u64 = 64;
 
 /// Full configuration of one simulated GPU.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,8 +150,7 @@ pub struct GpuConfig {
     pub max_insts_per_warp: u64,
     /// Launch-level watchdog bounds (cycle fuel, stall detection).
     pub watchdog: WatchdogConfig,
-    /// Timing-engine execution mode (serial / deterministic epochs /
-    /// relaxed epochs).
+    /// Timing-engine execution mode (serial / deterministic epochs).
     pub engine: EngineConfig,
 }
 
@@ -245,7 +229,7 @@ impl GpuConfig {
     }
 
     /// Returns the configuration with the given engine mode, leaving
-    /// threads and quantum on automatic.
+    /// the thread count on automatic.
     pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
         self.engine = EngineConfig {
             mode,
@@ -264,33 +248,17 @@ impl GpuConfig {
     /// * a scalar-load response: `mem.l1s.hit_latency` cycles,
     /// * a vector-load response: `lat.mem_issue + mem.l1v.hit_latency`.
     ///
-    /// The safe quantum is the minimum of the three; an explicit
-    /// `engine.quantum` is clamped to it. Relaxed mode has no safety
-    /// bound (late wakeups are clamped forward instead), so it takes
-    /// the configured value or [`RELAXED_QUANTUM_DEFAULT`].
+    /// The quantum is the minimum of the three; serial runs have no
+    /// epochs and report 0.
     pub fn resolved_quantum(&self) -> u64 {
-        let safe = self
-            .lat
-            .dispatch
-            .min(self.mem.l1s.hit_latency)
-            .min(self.lat.mem_issue + self.mem.l1v.hit_latency)
-            .max(1);
         match self.engine.mode {
             EngineMode::Serial => 0,
-            EngineMode::Deterministic => {
-                if self.engine.quantum == 0 {
-                    safe
-                } else {
-                    self.engine.quantum.min(safe)
-                }
-            }
-            EngineMode::Relaxed => {
-                if self.engine.quantum == 0 {
-                    RELAXED_QUANTUM_DEFAULT
-                } else {
-                    self.engine.quantum
-                }
-            }
+            EngineMode::Deterministic => self
+                .lat
+                .dispatch
+                .min(self.mem.l1s.hit_latency)
+                .min(self.lat.mem_issue + self.mem.l1v.hit_latency)
+                .max(1),
         }
     }
 
@@ -348,21 +316,9 @@ mod tests {
 
     #[test]
     fn deterministic_quantum_is_bounded_by_cross_shard_latencies() {
-        let mut c = GpuConfig::tiny().with_engine_mode(EngineMode::Deterministic);
+        let c = GpuConfig::tiny().with_engine_mode(EngineMode::Deterministic);
         // Defaults: dispatch 10, l1s hit 24, mem_issue 4 + l1v hit 28.
         assert_eq!(c.resolved_quantum(), 10);
-        c.engine.quantum = 4;
-        assert_eq!(c.resolved_quantum(), 4);
-        c.engine.quantum = 1_000; // clamped to the safe bound
-        assert_eq!(c.resolved_quantum(), 10);
-    }
-
-    #[test]
-    fn relaxed_quantum_takes_the_configured_value() {
-        let mut c = GpuConfig::tiny().with_engine_mode(EngineMode::Relaxed);
-        assert_eq!(c.resolved_quantum(), RELAXED_QUANTUM_DEFAULT);
-        c.engine.quantum = 256;
-        assert_eq!(c.resolved_quantum(), 256);
     }
 
     #[test]
@@ -376,10 +332,11 @@ mod tests {
 
     #[test]
     fn engine_config_round_trips_through_serde() {
-        let c = GpuConfig::tiny().with_engine_mode(EngineMode::Relaxed);
+        let c = GpuConfig::tiny().with_engine_mode(EngineMode::Deterministic);
         let json = serde_json::to_string(&c).unwrap();
+        assert!(!json.contains("\"quantum\""), "{json}");
         let back: GpuConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.engine.mode, EngineMode::Relaxed);
+        assert_eq!(back.engine.mode, EngineMode::Deterministic);
         assert_eq!(back, c);
     }
 

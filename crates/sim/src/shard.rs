@@ -1053,27 +1053,21 @@ impl Shard {
     }
 
     /// Applies a barrier-time memory response: wakes the parked warp at
-    /// the serviced completion cycle (clamped to `wake_floor`, the
-    /// epoch boundary, in relaxed mode) and replays the deferred
-    /// `on_inst_retire` with the real latency. Returns the number of
-    /// cycles the wake was clamped by — always 0 in deterministic mode,
-    /// where the quantum is sized below every cross-shard latency.
-    pub(crate) fn apply_response(
-        &mut self,
-        resp: &MemResponse,
-        wake_floor: Cycle,
-        relaxed: bool,
-    ) -> u64 {
+    /// the serviced completion cycle and replays the deferred
+    /// `on_inst_retire` with the real latency. `barrier` is the end of
+    /// the epoch that issued the request; the quantum is sized below
+    /// every cross-shard latency, so the response never completes
+    /// before it.
+    pub(crate) fn apply_response(&mut self, resp: &MemResponse, barrier: Cycle) {
         let w = resp.warp as usize;
-        let clamped = wake_floor.saturating_sub(resp.done);
         assert!(
-            relaxed || clamped == 0,
+            resp.done >= barrier,
             "deterministic epoch engine: response for warp {} completed at {} before the \
-             barrier at {wake_floor} — quantum exceeds a cross-shard latency",
+             barrier at {barrier} — quantum exceeds a cross-shard latency",
             self.warps[w].global_id,
             resp.done,
         );
-        let wake = resp.done.max(wake_floor);
+        let wake = resp.done;
         let gid = self.warps[w].global_id;
         self.warps[w].ready_at = wake;
         self.warps[w].pending_queue = resp.queued;
@@ -1086,7 +1080,6 @@ impl Shard {
                 .push(resp.req_cycle, gid, CtrlEv::Inst(class, wake - issued));
         }
         self.events.push(wake, EvKind::Ready(w as u32));
-        clamped
     }
 }
 

@@ -128,13 +128,13 @@ impl StallWindow {
 /// Per-shard stall totals: the same class/resident pair as
 /// [`CuAccounting`], attributed by one event domain of the sharded
 /// timing engine. The serial engine reports a single shard spanning
-/// all CUs; the epoch engines report one per CU shard. Each shard
+/// all CUs; the epoch engine reports one per CU shard. Each shard
 /// accumulates its counts independently of the per-CU arrays, so the
 /// cross-consistency check in [`CycleAccounting::check`] catches
 /// merge bugs in the parallel paths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardAccounting {
-    /// Shard index (CU index in the epoch engines).
+    /// Shard index (CU index in the epoch engine).
     pub shard: u32,
     /// Warp-cycles per [`StallClass`] attributed by this shard.
     pub classes: [u64; STALL_CLASSES],

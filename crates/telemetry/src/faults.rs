@@ -15,7 +15,7 @@
 //!
 //! ```console
 //! $ PHOTON_FAULTS="exec.panic:0.4:1337" report smoke
-//! $ fig13 --faults "refcache.read.corrupt:1.0:7,watchdog.fuel:0.1:7"
+//! $ fig fig13 --faults "refcache.read.corrupt:1.0:7,watchdog.fuel:0.1:7"
 //! ```
 //!
 //! ## Determinism
